@@ -264,10 +264,16 @@ pub fn decode_model(input: &mut Decoder<'_>) -> Result<ArrivalModel, WireError> 
         0 => Ok(ArrivalModel::Batched {
             k: input.take_u64()?,
         }),
-        1 => Ok(ArrivalModel::Poisson {
-            rate: input.take_f64()?,
-            horizon: input.take_u64()?,
-        }),
+        1 => {
+            let rate = input.take_f64()?;
+            let horizon = input.take_u64()?;
+            if !rate.is_finite() || rate < 0.0 {
+                return Err(WireError::Malformed(
+                    "Poisson rate must be finite and non-negative",
+                ));
+            }
+            Ok(ArrivalModel::Poisson { rate, horizon })
+        }
         2 => {
             let n = input.take_usize()?;
             let mut bursts = Vec::with_capacity(n.min(1 << 20));

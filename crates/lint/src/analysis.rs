@@ -384,6 +384,22 @@ fn find_impl_fns(tokens: &[Token]) -> Vec<ImplFn> {
         // present, else the first path; its name is the ident right before
         // the first `<` of that path (or its last ident).
         let mut j = i + 1;
+        // The impl's own parameter list (`impl<P: T> Foo<P>`) names no
+        // type: skip it so the path after it is the one resolved.
+        if tokens.get(j).is_some_and(|t| is_punct(t, "<")) {
+            let mut depth = 0i32;
+            while j < tokens.len() {
+                if is_punct(&tokens[j], "<") {
+                    depth += 1;
+                } else if is_punct(&tokens[j], ">") && !is_punct(&tokens[j - 1], "-") {
+                    depth -= 1;
+                }
+                j += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
         let mut angle = 0i32;
         let mut header: Vec<usize> = Vec::new();
         let mut for_at: Option<usize> = None;
@@ -583,6 +599,12 @@ mod tests {
         assert_eq!(a.impl_fns.len(), 2);
         assert_eq!(a.impl_fns[0].type_name, "Foo");
         assert_eq!(a.impl_fns[1].type_name, "Box");
+        // Inherent impls with their own (nested, `->`-bearing) generics
+        // resolve to the implemented type, not to the parameter list.
+        let generic = "impl<P: T, F: Fn() -> Result<P, E>> Core<P, F> {\n    fn encode(&self) { self.k }\n}\n";
+        let b = analyze("x.rs", generic);
+        assert_eq!(b.impl_fns.len(), 1);
+        assert_eq!(b.impl_fns[0].type_name, "Core");
         let refs = self_field_refs(&a.tokens, a.impl_fns[0].body);
         let names: Vec<_> = refs.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"]);

@@ -1,7 +1,9 @@
 //! Rule `wire-version-hygiene`: the serialized layout of every checkpoint
 //! frame — the ordered field list each `checkpoint_words` emits, and the
-//! ordered emission sequence of each session `encode` body — is
-//! fingerprinted into a committed ledger (`crates/lint/wire.ledger`).
+//! ordered emission sequence of each `encode` body in the session file and
+//! in the engine cores, kernel caches, sketch and arrival streams a session
+//! frame embeds ([`FRAME_FILES`]) — is fingerprinted into a committed
+//! ledger (`crates/lint/wire.ledger`).
 //! Changing a layout without bumping `CHECKPOINT_VERSION` fails the lint:
 //! an old checkpoint would otherwise decode into garbage *silently*,
 //! because the integrity digest only protects against corruption, not
@@ -17,6 +19,20 @@ pub const RULE: &str = "wire-version-hygiene";
 /// The file that owns the frame format and its version constant.
 pub const SESSION_FILE: &str = "crates/sim/src/session.rs";
 
+/// Files whose `encode` bodies write words into a session checkpoint: the
+/// session framing itself, the engine cores it embeds, and the kernel
+/// caches, latency sketch and arrival streams those cores serialise.
+pub const FRAME_FILES: [&str; 8] = [
+    SESSION_FILE,
+    "crates/sim/src/aggregate.rs",
+    "crates/sim/src/cohort.rs",
+    "crates/sim/src/window.rs",
+    "crates/prob/src/binomial.rs",
+    "crates/prob/src/cohort.rs",
+    "crates/prob/src/sketch.rs",
+    "crates/channel/src/stream.rs",
+];
+
 /// One fingerprinted checkpoint frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -29,11 +45,14 @@ pub struct Frame {
 
 /// Extracts the fingerprintable frames of one file: `checkpoint_words`
 /// bodies of types declared in the file (ordered `self.<field>` refs) and,
-/// in the session file, every `encode` body (ordered `.ident` sequence —
+/// in the [`FRAME_FILES`], every `encode` body (ordered `.ident` sequence —
 /// field reads and `put_*` codec calls in emission order).
 pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
     let mut frames = Vec::new();
     for f in &analysis.impl_fns {
+        if analysis.is_test_line(f.line) {
+            continue; // test doubles write no real frame
+        }
         let material: Vec<String> = match f.fn_name.as_str() {
             "checkpoint_words" => {
                 if !analysis.structs.iter().any(|s| s.name == f.type_name) {
@@ -44,7 +63,9 @@ pub fn frames_of(analysis: &FileAnalysis) -> Vec<Frame> {
                     .map(|(n, _)| n)
                     .collect()
             }
-            "encode" if analysis.path == SESSION_FILE => dotted_idents(&analysis.tokens, f.body),
+            "encode" if FRAME_FILES.contains(&analysis.path.as_str()) => {
+                dotted_idents(&analysis.tokens, f.body)
+            }
             _ => continue,
         };
         frames.push(Frame {

@@ -228,6 +228,61 @@ fn wire_fixture_layout_change_without_version_bump_fails() {
     );
 }
 
+/// An engine core as the cohort engine writes it: a generic inherent impl
+/// whose `encode` emits the core's words, plus a test double that must not
+/// count as a frame.
+const ENGINE_FIXTURE: &str = "\
+pub struct Core<P, F> {
+    k: u64,
+    slot: u64,
+}
+impl<P: FairProtocol, F: Fn() -> Result<P, E>> Core<P, F> {
+    pub(crate) fn encode(&self, out: &mut Encoder) -> bool {
+        out.put_u64(self.k);
+        out.put_u64(self.slot);
+        true
+    }
+}
+#[cfg(test)]
+mod tests {
+    struct Double;
+    impl Double {
+        fn encode(&self, out: &mut Encoder) {
+            out.put_u64(1);
+        }
+    }
+}
+";
+
+#[test]
+fn wire_fixture_engine_core_layout_change_without_version_bump_fails() {
+    let path = "crates/sim/src/cohort.rs";
+    let analysis = analyze(path, ENGINE_FIXTURE);
+    let frames = wire::frames_of(&analysis);
+    let keys: Vec<&str> = frames.iter().map(|f| f.key.as_str()).collect();
+    assert_eq!(keys, ["crates/sim/src/cohort.rs::Core::encode"]);
+    let ledger = wire::render_ledger(&frames, 3);
+    assert!(wire::check_ledger(&frames, Some(3), Some(&ledger), "L").is_empty());
+
+    // Reordering the core's emission at an unchanged version must fail.
+    let reordered = ENGINE_FIXTURE.replace(
+        "out.put_u64(self.k);\n        out.put_u64(self.slot);",
+        "out.put_u64(self.slot);\n        out.put_u64(self.k);",
+    );
+    assert_ne!(reordered, ENGINE_FIXTURE);
+    let changed = wire::frames_of(&analyze(path, &reordered));
+    let found = wire::check_ledger(&changed, Some(3), Some(&ledger), "L");
+    assert_eq!(found.len(), 1);
+    assert!(
+        found[0].message.contains("bump the version"),
+        "{}",
+        found[0].message
+    );
+
+    // The same body in a file that writes no checkpoint is not a frame.
+    assert!(wire::frames_of(&analyze("crates/sim/src/report.rs", ENGINE_FIXTURE)).is_empty());
+}
+
 #[test]
 fn wire_fixture_missing_ledger_fails() {
     let analysis = analyze(wire::SESSION_FILE, SESSION_FIXTURE);

@@ -285,7 +285,16 @@ impl FairProtocol for LogFailsAdaptive {
         let [kappa, failures, step] = words else {
             return false;
         };
-        self.kappa_estimate = f64::from_bits(*kappa);
+        let kappa = f64::from_bits(*kappa);
+        // Steps count from 1; a full failure window resets the run; κ̃
+        // never drops below its floor.
+        if *step == 0
+            || *failures >= self.fail_window.max(1)
+            || !(kappa.is_finite() && kappa >= Self::floor_for(&self.config))
+        {
+            return false;
+        }
+        self.kappa_estimate = kappa;
         self.consecutive_failures = *failures;
         self.step = *step;
         true

@@ -217,11 +217,25 @@ impl FairProtocol for RandomizedParityOneFail {
         let [kappa, received, step, log2_sigma, bt] = words else {
             return false;
         };
-        self.kappa_estimate = f64::from_bits(*kappa);
+        let (kappa, log2_sigma, bt) = (
+            f64::from_bits(*kappa),
+            f64::from_bits(*log2_sigma),
+            f64::from_bits(*bt),
+        );
+        // Steps count from 1 and hear at most one delivery each; κ̃ never
+        // drops below its floor; the BT probability is 1/(1 + log₂(σ+1)).
+        if *received >= *step
+            || !(kappa.is_finite() && kappa >= self.floor())
+            || !(log2_sigma.is_finite() && log2_sigma >= 0.0)
+            || !(bt > 0.0 && bt <= 1.0)
+        {
+            return false;
+        }
+        self.kappa_estimate = kappa;
         self.received = *received;
         self.step = *step;
-        self.log2_sigma = f64::from_bits(*log2_sigma);
-        self.bt_probability = f64::from_bits(*bt);
+        self.log2_sigma = log2_sigma;
+        self.bt_probability = bt;
         true
     }
 }

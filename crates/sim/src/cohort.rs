@@ -106,7 +106,158 @@ struct Cohort<P> {
     /// `(arrival_slot, active count)` sub-groups; more than one entry only
     /// after a merge. Members are exchangeable, so a delivery picks a
     /// sub-group with probability proportional to its count.
-    groups: Vec<(u64, u64)>,
+    groups: ArrivalGroups,
+}
+
+/// Entries per block of the [`ArrivalGroups`] index.
+const GROUP_BLOCK: usize = 64;
+
+/// The `(arrival_slot, active count)` sub-groups of one class, in merge
+/// order, indexed for the per-delivery lookup.
+///
+/// A delivery charges the sub-group holding the member at a uniform index
+/// in `0..m`. Merged classes under a cap hold thousands of sub-groups, so a
+/// linear walk per delivery and an O(G) `retain` per emptied sub-group
+/// dominate a saturated run. Entries are instead kept in fixed blocks of
+/// [`GROUP_BLOCK`] with one count per block: a lookup skips whole blocks and
+/// walks one, O(G/64 + 64). An emptied sub-group stays as a zero entry —
+/// it holds no index, so lookups pass over it — and the list is compacted
+/// only once zero entries are the majority, which spreads the O(G) rebuild
+/// over at least G/2 deliveries. Live entries keep exactly the order of the
+/// plain list, so member selection and the encoded frame are unchanged.
+#[derive(Debug)]
+struct ArrivalGroups {
+    /// Sub-groups in merge order; zero counts are emptied sub-groups
+    /// awaiting compaction.
+    entries: Vec<(u64, u64)>,
+    /// `block_sums[b]` is the total count of `entries[64b..64(b+1)]`.
+    block_sums: Vec<u64>,
+    /// Zero-count entries in `entries`.
+    empty: usize,
+}
+
+impl ArrivalGroups {
+    /// A fresh burst: one sub-group.
+    fn single(arrival: u64, count: u64) -> Self {
+        Self {
+            entries: vec![(arrival, count)],
+            block_sums: vec![count],
+            empty: 0,
+        }
+    }
+
+    /// Writes the non-empty sub-groups in order — their number, then one
+    /// `(arrival, count)` pair each — so pending zero entries never reach
+    /// a frame.
+    fn encode(&self, out: &mut Encoder) {
+        out.put_usize(self.entries.len() - self.empty);
+        for &(arrival, count) in self.entries.iter().filter(|&&(_, count)| count > 0) {
+            out.put_u64(arrival);
+            out.put_u64(count);
+        }
+    }
+
+    /// Reads [`ArrivalGroups::encode`] output for a class of `m` members
+    /// restored at `slot`, rejecting empty sub-groups, arrivals after
+    /// `slot` and counts that do not sum to `m`.
+    fn decode(input: &mut Decoder<'_>, m: u64, slot: u64) -> Result<Self, WireError> {
+        let len = input.take_usize()?;
+        let mut entries = Vec::with_capacity(len.min(1 << 20));
+        let mut members = 0u64;
+        for _ in 0..len {
+            let arrival = input.take_u64()?;
+            let count = input.take_u64()?;
+            if count == 0 {
+                return Err(WireError::Malformed("empty arrival sub-group"));
+            }
+            if arrival > slot {
+                return Err(WireError::Malformed(
+                    "arrival sub-group after the current slot",
+                ));
+            }
+            members = members
+                .checked_add(count)
+                .ok_or(WireError::Malformed("arrival sub-group counts overflow"))?;
+            entries.push((arrival, count));
+        }
+        if members != m {
+            return Err(WireError::Malformed(
+                "arrival sub-group counts do not sum to the cohort size",
+            ));
+        }
+        let mut groups = Self {
+            entries,
+            block_sums: Vec::new(),
+            empty: 0,
+        };
+        groups.rebuild_sums_from(0);
+        Ok(groups)
+    }
+
+    /// Moves every sub-group of `other` after this class's own.
+    fn append(&mut self, other: &mut Self) {
+        let first_touched = self.entries.len() / GROUP_BLOCK;
+        self.entries.append(&mut other.entries);
+        self.empty += std::mem::take(&mut other.empty);
+        other.block_sums.clear();
+        if !self.compact_if_sparse() {
+            self.rebuild_sums_from(first_touched);
+        }
+    }
+
+    /// Removes the member at `index` — counting members sub-group by
+    /// sub-group in order — and returns its arrival slot, or `None` if
+    /// `index` is not below the total count.
+    fn take(&mut self, mut index: u64) -> Option<u64> {
+        let block = self.block_sums.iter().position(|&sum| {
+            if index < sum {
+                true
+            } else {
+                index -= sum;
+                false
+            }
+        })?;
+        let start = block * GROUP_BLOCK;
+        let end = (start + GROUP_BLOCK).min(self.entries.len());
+        let entry = self.entries[start..end].iter_mut().find(|(_, count)| {
+            if index < *count {
+                true
+            } else {
+                index -= *count;
+                false
+            }
+        })?;
+        entry.1 -= 1;
+        self.block_sums[block] -= 1;
+        let arrival = entry.0;
+        if entry.1 == 0 {
+            self.empty += 1;
+            self.compact_if_sparse();
+        }
+        Some(arrival)
+    }
+
+    /// Drops the zero entries once they are the majority; returns whether
+    /// it did (the block sums are then rebuilt).
+    fn compact_if_sparse(&mut self) -> bool {
+        if self.empty * 2 <= self.entries.len() {
+            return false;
+        }
+        self.entries.retain(|&(_, count)| count > 0);
+        self.empty = 0;
+        self.rebuild_sums_from(0);
+        true
+    }
+
+    /// Recomputes the block sums from block `first` on.
+    fn rebuild_sums_from(&mut self, first: usize) {
+        self.block_sums.truncate(first);
+        let rest = self.entries.get(first * GROUP_BLOCK..).unwrap_or(&[]);
+        self.block_sums.extend(
+            rest.chunks(GROUP_BLOCK)
+                .map(|block| block.iter().map(|&(_, count)| count).sum::<u64>()),
+        );
+    }
 }
 
 /// A source of arrivals consumed in slot order. The engine's contract:
@@ -542,7 +693,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
                 self.cohorts.push(Cohort {
                     state,
                     m: count,
-                    groups: vec![(self.slot, count)],
+                    groups: ArrivalGroups::single(self.slot, count),
                 });
                 // Bounded-class mode: pushes are the only operation that
                 // grows the live class count, so enforcing the cap here
@@ -606,24 +757,12 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
                         // it (members are exchangeable).
                         let (ci, fraction) = self.kernel.delivering_cohort(u - thresholds.t0);
                         let cohort = &mut self.cohorts[ci];
-                        let mut index = ((fraction * cohort.m as f64) as u64).min(cohort.m - 1);
-                        let group = cohort
+                        let index = ((fraction * cohort.m as f64) as u64).min(cohort.m - 1);
+                        let arrival = cohort
                             .groups
-                            .iter_mut()
-                            .find(|(_, count)| {
-                                if index < *count {
-                                    true
-                                } else {
-                                    index -= *count;
-                                    false
-                                }
-                            })
+                            .take(index)
                             .expect("group counts sum to the cohort size");
-                        self.recorder.push(self.slot - group.0);
-                        group.1 -= 1;
-                        if group.1 == 0 && cohort.groups.len() > 1 {
-                            cohort.groups.retain(|&(_, count)| count > 0);
-                        }
+                        self.recorder.push(self.slot - arrival);
                         cohort.m -= 1;
                         self.remaining -= 1;
                         self.makespan = self.slot + 1;
@@ -747,11 +886,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         for (cohort, words) in self.cohorts.iter().zip(&cohort_words) {
             out.put_words(words);
             out.put_u64(cohort.m);
-            out.put_usize(cohort.groups.len());
-            for &(arrival, count) in &cohort.groups {
-                out.put_u64(arrival);
-                out.put_u64(count);
-            }
+            cohort.groups.encode(out);
         }
         self.kernel.encode(out);
         for w in self.rng.state_words() {
@@ -771,7 +906,7 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
     /// adversary configuration.
     pub(crate) fn decode(
         input: &mut Decoder<'_>,
-        feed: A,
+        mut feed: A,
         factory: F,
         scenario: &AdversaryScenario,
     ) -> Result<Self, WireError> {
@@ -790,27 +925,68 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         let peak_cohorts = usize::try_from(input.take_u64()?)
             .map_err(|_| WireError::Malformed("peak cohort count exceeds usize"))?;
         let slots_to_merge_scan = input.take_u64()?;
+        if !merge_tolerance.is_finite() || merge_tolerance < 0.0 {
+            return Err(WireError::Malformed(
+                "negative or non-finite merge tolerance",
+            ));
+        }
+        if remaining > k {
+            return Err(WireError::Malformed(
+                "more undelivered messages than messages",
+            ));
+        }
+        // Every elapsed slot was silent, a collision or one delivery.
+        let delivered = k - remaining;
+        if silent
+            .checked_add(collisions)
+            .and_then(|n| n.checked_add(delivered))
+            != Some(slot)
+            || jammed_deliveries > collisions
+            || makespan > slot
+            || merges > slot
+        {
+            return Err(WireError::Malformed(
+                "slot counters do not add up to the clock",
+            ));
+        }
+        if !(1..=MERGE_SCAN_PERIOD).contains(&slots_to_merge_scan) {
+            return Err(WireError::Malformed("merge-scan countdown out of range"));
+        }
         let cohort_count = input.take_usize()?;
         let mut cohorts = Vec::with_capacity(cohort_count.min(1 << 20));
+        let mut backlog = 0u64;
         for _ in 0..cohort_count {
             let words = input.take_words()?.to_vec();
             let m = input.take_u64()?;
-            let group_count = input.take_usize()?;
-            let mut groups = Vec::with_capacity(group_count.min(1 << 20));
-            for _ in 0..group_count {
-                let arrival = input.take_u64()?;
-                let count = input.take_u64()?;
-                groups.push((arrival, count));
+            if m == 0 {
+                return Err(WireError::Malformed("cohort without active members"));
             }
+            let groups = ArrivalGroups::decode(input, m, slot)?;
+            backlog = backlog
+                .checked_add(m)
+                .ok_or(WireError::Malformed("active members overflow"))?;
             let mut state = factory
                 .build()
                 .map_err(|_| WireError::Malformed("protocol parameters rejected on restore"))?;
-            if !state.restore_words(&words) {
+            if !state.restore_words(&words)
+                || state.steps_elapsed() > slot
+                || !(0.0..=1.0).contains(&state.transmission_probability())
+            {
                 return Err(WireError::Malformed("protocol state words rejected"));
             }
             cohorts.push(Cohort { state, m, groups });
         }
+        if backlog.checked_add(feed.pending_messages()) != Some(remaining) {
+            return Err(WireError::Malformed(
+                "active and pending messages do not add up to the undelivered count",
+            ));
+        }
         let kernel = CohortKernel::decode(input)?;
+        if kernel.len() != cohorts.len() {
+            return Err(WireError::Malformed(
+                "kernel cache count differs from the cohort count",
+            ));
+        }
         let mut rng_words = [0u64; 4];
         for w in &mut rng_words {
             *w = input.take_u64()?;
@@ -821,6 +997,19 @@ impl<P: FairProtocol, A: ArrivalFeed, F: BuildState<P>> CohortEngineCore<P, A, F
         }
         let delivery_slots = decode_optional_slots(input)?;
         let recorder = LatencyRecorder::decode(input)?;
+        let recorded = [
+            delivery_slots.as_ref().map(|slots| slots.len() as u64),
+            recorder.exact.as_ref().map(|exact| exact.len() as u64),
+            recorder
+                .streaming
+                .as_ref()
+                .map(StreamingLatencyStats::count),
+        ];
+        if recorded.into_iter().flatten().any(|n| n != delivered) {
+            return Err(WireError::Malformed(
+                "recorded deliveries differ from the delivered count",
+            ));
+        }
         let mut adversary = scenario.state(0);
         if !adversary.restore_state_words(&adversary_words) {
             return Err(WireError::Malformed("adversary state words rejected"));
@@ -907,9 +1096,20 @@ fn merge_converged_cohorts<P: FairProtocol>(
     kernel: &mut CohortKernel,
     tolerance: f64,
 ) -> u64 {
-    let n = cohorts.len();
     let (keys, order) = sorted_cohort_order(cohorts, kernel);
+    merge_sorted_runs(cohorts, kernel, &keys, &order, tolerance)
+}
 
+/// The scan half of [`merge_converged_cohorts`], over a `(keys, order)`
+/// pair that [`sorted_cohort_order`] built from the current classes.
+fn merge_sorted_runs<P: FairProtocol>(
+    cohorts: &mut Vec<Cohort<P>>,
+    kernel: &mut CohortKernel,
+    keys: &[(u64, f64, f64)],
+    order: &[usize],
+    tolerance: f64,
+) -> u64 {
+    let n = cohorts.len();
     // Walk the sorted order: the first cohort of each run is the class
     // representative; followers within `tolerance` on both tracks (and in
     // the same phase) transfer their members and arrival sub-groups to it.
@@ -955,15 +1155,15 @@ fn merge_converged_cohorts<P: FairProtocol>(
 
 /// Bounded-class enforcement: force-merges the *nearest* same-phase classes
 /// until at most `cap` remain. Each round sorts the live classes by
-/// `(phase, tracks)`, measures the relative track divergence of every
-/// adjacent same-phase pair, and re-runs the merge scan at the smallest
-/// threshold that admits enough pairs to restore the cap — so the engine
-/// always spends its forced approximation on the classes that are already
-/// closest in law. Classes in distinct phases are never merged (their
-/// future schedules differ), so the reachable floor is the number of
-/// distinct live phases; if every class sits in its own phase the cap is
-/// left violated rather than corrupting the schedule. Returns the number of
-/// merges performed.
+/// `(phase, tracks)` once, measures the relative track divergence of every
+/// adjacent same-phase pair, and runs the merge scan over that same order
+/// at the smallest threshold that admits enough pairs to restore the cap —
+/// so the engine always spends its forced approximation on the classes
+/// that are already closest in law. Classes in distinct phases are never
+/// merged (their future schedules differ), so the reachable floor is the
+/// number of distinct live phases; if every class sits in its own phase the
+/// cap is left violated rather than corrupting the schedule. Returns the
+/// number of merges performed.
 fn enforce_class_cap<P: FairProtocol>(
     cohorts: &mut Vec<Cohort<P>>,
     kernel: &mut CohortKernel,
@@ -986,15 +1186,16 @@ fn enforce_class_cap<P: FairProtocol>(
         // that many adjacent pairs; until the scan's first merge every
         // failing follower becomes the next representative, so the first
         // admitted adjacent pair always merges — each round strictly
-        // shrinks the class count.
-        gaps.sort_unstable_by(f64::total_cmp);
+        // shrinks the class count. `total_cmp` is a total order, so the
+        // selected value is the one a full sort would put at that rank.
         let need = (n - cap).min(gaps.len());
+        let (_, nth, _) = gaps.select_nth_unstable_by(need - 1, f64::total_cmp);
         // One-ulp headroom: `relative_gap` is a quotient and `tracks_close`
         // re-multiplies, so without the nudge the threshold pair can fail
         // its own admission test and leave the cap violated by one. Zero
         // gaps (bit-equal tracks) stay exactly zero.
-        let threshold = gaps[need - 1] * (1.0 + 4.0 * f64::EPSILON);
-        let merged = merge_converged_cohorts(cohorts, kernel, threshold);
+        let threshold = *nth * (1.0 + 4.0 * f64::EPSILON);
+        let merged = merge_sorted_runs(cohorts, kernel, &keys, &order, threshold);
         if merged == 0 {
             break;
         }
@@ -1371,6 +1572,325 @@ mod tests {
             "cohort {} vs fair {}",
             cohort_stats.mean(),
             fair_stats.mean()
+        );
+    }
+
+    /// FNV-1a over the little-endian bytes of a word sequence.
+    fn fnv1a_words(words: &[u64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn capped_oracle_poisson_run_is_pinned() {
+        // One capped run pinned to its exact outcome: the makespan, the
+        // merge count, the latency sequence and the engine frames encoded
+        // at three pauses (mid-arrivals, at the end of the horizon and deep
+        // in the drain). Any change to the group bookkeeping, the cap
+        // rounds or the frame layout moves one of these digests.
+        let schedule = ArrivalModel::Poisson {
+            rate: 2.0,
+            horizon: 2_000,
+        }
+        .sample(&mut Xoshiro256pp::seed_from_u64(5));
+        let options = RunOptions {
+            max_live_cohorts: 8,
+            ..RunOptions::default()
+        };
+        let k = schedule.len() as u64;
+        let max_slots = options
+            .max_slots(k)
+            .saturating_add(schedule.last_arrival().unwrap_or(0));
+        let mut core = CohortEngineCore::new(
+            SliceFeed::new(schedule.arrival_slots()),
+            move || Ok::<_, ParameterError>(KnownKOracle::new(k)),
+            k,
+            17,
+            max_slots,
+            &options,
+            LatencyRecorder::exact(k as usize),
+        );
+        let mut frames = Vec::new();
+        for pause in [777, 2_000, 4_000] {
+            core.advance(pause - core.slot()).unwrap();
+            let mut out = Encoder::new();
+            assert!(core.encode(&mut out));
+            frames.extend(out.finish());
+        }
+        core.advance(u64::MAX).unwrap();
+        let run = core.into_run("Known-k oracle");
+        assert!(run.result.completed);
+        let pinned = (
+            k,
+            run.result.makespan,
+            run.merges,
+            run.peak_cohorts,
+            fnv1a_words(&run.latencies),
+            frames.len(),
+            fnv1a_words(&frames),
+        );
+        assert_eq!(
+            pinned,
+            (
+                4_028,
+                13_258,
+                1_735,
+                8,
+                0x996e_cbd4_f51f_7840,
+                10_224,
+                0xda04_c26a_caff_22dc
+            )
+        );
+    }
+
+    /// The plain list the group index replaced: a linear walk per delivery
+    /// and a `retain` whenever a sub-group of a multi-group class empties.
+    #[derive(Debug)]
+    struct PlainGroups(Vec<(u64, u64)>);
+
+    impl PlainGroups {
+        fn take(&mut self, mut index: u64) -> u64 {
+            let group = self
+                .0
+                .iter_mut()
+                .find(|(_, count)| {
+                    if index < *count {
+                        true
+                    } else {
+                        index -= *count;
+                        false
+                    }
+                })
+                .expect("index below the class size");
+            group.1 -= 1;
+            let arrival = group.0;
+            if group.1 == 0 && self.0.len() > 1 {
+                self.0.retain(|&(_, count)| count > 0);
+            }
+            arrival
+        }
+
+        fn encode(&self, out: &mut Encoder) {
+            out.put_usize(self.0.len());
+            for &(arrival, count) in &self.0 {
+                out.put_u64(arrival);
+                out.put_u64(count);
+            }
+        }
+    }
+
+    /// A class of `len` sub-groups with arrivals from `first_slot` on, as
+    /// the engine builds one: fresh bursts appended by merges.
+    fn class_of(
+        len: usize,
+        first_slot: u64,
+        rng: &mut Xoshiro256pp,
+    ) -> (ArrivalGroups, PlainGroups) {
+        // Mostly single members, so deliveries empty sub-groups fast.
+        let mut count = || {
+            if rng.gen::<f64>() < 0.7 {
+                1
+            } else {
+                rng.gen_range(2..6)
+            }
+        };
+        let first = count();
+        let mut index = ArrivalGroups::single(first_slot, first);
+        let mut plain = PlainGroups(vec![(first_slot, first)]);
+        for slot in first_slot + 1..first_slot + len as u64 {
+            let count = count();
+            index.append(&mut ArrivalGroups::single(slot, count));
+            plain.0.push((slot, count));
+        }
+        (index, plain)
+    }
+
+    fn class_size(groups: &ArrivalGroups) -> u64 {
+        groups.block_sums.iter().sum()
+    }
+
+    /// Same encoded words as the plain list, and the index's own
+    /// invariants: block sums, the zero-entry count, and compaction done.
+    fn assert_matches(index: &ArrivalGroups, plain: &PlainGroups) {
+        let mut a = Encoder::new();
+        index.encode(&mut a);
+        let mut b = Encoder::new();
+        plain.encode(&mut b);
+        assert_eq!(a.finish(), b.finish());
+        let sums: Vec<u64> = index
+            .entries
+            .chunks(GROUP_BLOCK)
+            .map(|block| block.iter().map(|&(_, count)| count).sum())
+            .collect();
+        assert_eq!(index.block_sums, sums);
+        let zeros = index
+            .entries
+            .iter()
+            .filter(|&&(_, count)| count == 0)
+            .count();
+        assert_eq!(index.empty, zeros);
+        assert!(
+            2 * zeros <= index.entries.len(),
+            "zero entries left as the majority"
+        );
+    }
+
+    #[test]
+    fn group_index_drains_like_the_plain_list_at_block_edges() {
+        // Classes of 1, 63, 64, 65 and 129 sub-groups drained to empty
+        // from the front, the back and the middle: every step hits a block
+        // edge or a compaction at some point.
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        for len in [1usize, 63, 64, 65, 129] {
+            for pick in 0..3 {
+                let (mut index, mut plain) = class_of(len, 10, &mut rng);
+                let mut size = class_size(&index);
+                while size > 0 {
+                    let at = match pick {
+                        0 => 0,
+                        1 => size - 1,
+                        _ => size / 2,
+                    };
+                    assert_eq!(
+                        index.take(at),
+                        Some(plain.take(at)),
+                        "len {len} pick {pick}"
+                    );
+                    size -= 1;
+                    assert_eq!(class_size(&index), size);
+                    if size > 0 {
+                        assert_matches(&index, &plain);
+                    }
+                }
+                assert_eq!(index.take(0), None);
+            }
+        }
+    }
+
+    #[test]
+    fn group_index_matches_the_plain_list_under_random_operations() {
+        let mut rng = Xoshiro256pp::seed_from_u64(77);
+        for _ in 0..30 {
+            let mut classes: Vec<(ArrivalGroups, PlainGroups)> = Vec::new();
+            let mut slot = 0u64;
+            for _ in 0..600 {
+                let op = rng.gen_range(0..10u32);
+                if classes.is_empty() || op < 2 {
+                    let len = [1, 63, 64, 65, rng.gen_range(1..200)][rng.gen_range(0..5usize)];
+                    classes.push(class_of(len, slot, &mut rng));
+                    slot += len as u64;
+                } else if op < 4 && classes.len() >= 2 {
+                    let j = rng.gen_range(1..classes.len());
+                    let i = rng.gen_range(0..j);
+                    let (mut right_index, mut right_plain) = classes.swap_remove(j);
+                    let (left_index, left_plain) = &mut classes[i];
+                    left_index.append(&mut right_index);
+                    left_plain.0.append(&mut right_plain.0);
+                    assert_matches(left_index, left_plain);
+                } else {
+                    let i = rng.gen_range(0..classes.len());
+                    let (index, plain) = &mut classes[i];
+                    let at = rng.gen_range(0..class_size(index));
+                    assert_eq!(index.take(at), Some(plain.take(at)));
+                    if class_size(index) == 0 {
+                        classes.swap_remove(i);
+                    } else {
+                        assert_matches(index, plain);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Encodes `core` and decodes the words against a feed at the same
+    /// position, as a session resume does.
+    fn reencode<F: BuildState<KnownKOracle> + Clone>(
+        core: &CohortEngineCore<KnownKOracle, SliceFeed<'_>, F>,
+    ) -> Result<(), WireError> {
+        let mut out = Encoder::new();
+        assert!(core.encode(&mut out));
+        let words = out.finish();
+        let feed = SliceFeed {
+            arrivals: core.feed.arrivals,
+            next: core.feed.next,
+        };
+        let restored = CohortEngineCore::decode(
+            &mut Decoder::new(&words),
+            feed,
+            core.factory.clone(),
+            &AdversaryScenario::default(),
+        )?;
+        assert_eq!(restored.slot(), core.slot());
+        Ok(())
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_cohort_state() {
+        let schedule = ArrivalModel::Poisson {
+            rate: 2.0,
+            horizon: 300,
+        }
+        .sample(&mut Xoshiro256pp::seed_from_u64(5));
+        let options = RunOptions {
+            max_live_cohorts: 4,
+            ..RunOptions::default()
+        };
+        let k = schedule.len() as u64;
+        let paused = || {
+            let mut core = CohortEngineCore::new(
+                SliceFeed::new(schedule.arrival_slots()),
+                move || Ok::<_, ParameterError>(KnownKOracle::new(k)),
+                k,
+                3,
+                u64::MAX,
+                &options,
+                LatencyRecorder::exact(0),
+            );
+            core.advance(200).unwrap();
+            assert!(core
+                .cohorts
+                .iter()
+                .any(|cohort| cohort.groups.entries.len() > 1));
+            core
+        };
+        assert_eq!(reencode(&paused()), Ok(()));
+        for case in 0..4 {
+            let mut core = paused();
+            match case {
+                // Sub-group counts no longer sum to the class size.
+                0 => core.cohorts[0].m += 1,
+                // A class without members.
+                1 => core.cohorts[0].m = 0,
+                // One kernel cache too many.
+                2 => core.kernel.push(1, 0.5),
+                // More active members than undelivered messages.
+                _ => {
+                    core.k -= 1;
+                    core.remaining -= 1;
+                }
+            }
+            assert!(
+                matches!(reencode(&core), Err(WireError::Malformed(_))),
+                "case {case} restored"
+            );
+        }
+        // A zero-count sub-group never reaches a frame from `encode`, so
+        // feed the sub-group decoder one directly.
+        let words = [2, 5, 3, 7, 0];
+        assert!(matches!(
+            ArrivalGroups::decode(&mut Decoder::new(&words), 3, 10),
+            Err(WireError::Malformed(_))
+        ));
+        let words = [2, 5, 3, 7, 1];
+        assert_eq!(
+            ArrivalGroups::decode(&mut Decoder::new(&words), 4, 10).map(|groups| groups.entries),
+            Ok(vec![(5, 3), (7, 1)])
         );
     }
 }

@@ -745,6 +745,21 @@ impl StreamFeed {
         } else {
             None
         };
+        // Everything the stream has handed out is either activated or the
+        // lookahead burst, and never more than the session's messages.
+        let handed_out = activated
+            .checked_add(pending.map_or(0, |(_, count)| count))
+            .filter(|&n| n <= total)
+            .ok_or(WireError::Malformed(
+                "more arrivals handed out than messages",
+            ))?;
+        if let StreamSource::Plain(stream) = &source {
+            if handed_out != stream.emitted() {
+                return Err(WireError::Malformed(
+                    "arrival stream cursor disagrees with the activated count",
+                ));
+            }
+        }
         Ok(Self {
             source,
             total,
@@ -1547,7 +1562,7 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
     let miss_delivery = input.take_f64()?;
     let merge_tolerance = input.take_f64()?;
     let max_live_cohorts = input.take_u64()?;
-    Ok(RunOptions {
+    let options = RunOptions {
         slot_cap_per_message,
         min_slot_cap,
         record_deliveries,
@@ -1560,7 +1575,14 @@ fn decode_options(input: &mut Decoder<'_>) -> Result<RunOptions, WireError> {
         },
         merge_tolerance,
         max_live_cohorts,
-    })
+    };
+    // The engines build adversary state from these options and assume
+    // they passed the constructors' validation.
+    options
+        .validate_adversary()
+        .and_then(|()| options.validate_cohort())
+        .map_err(|_| WireError::Malformed("run options rejected on restore"))?;
+    Ok(options)
 }
 
 /// Supervision policy of a [`ShardedSession`]: how many times a failed

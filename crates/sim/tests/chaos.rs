@@ -7,7 +7,9 @@
 //!   truncation of a valid checkpoint (session and sharded framings)
 //!   must fail `resume` with a *typed* error before any state is
 //!   reconstructed; a corrupted generation in a durable store must fall
-//!   back to the previous good one.
+//!   back to the previous good one. Edits that pass the digest because
+//!   the frame was re-sealed must still end in a typed error or a
+//!   session that runs — never in a panic.
 //! * **Process faults** — mid-run crashes (live state dropped, recovery
 //!   through the store) and shard-thread kills (panic capture, retry,
 //!   quarantine) must either recover **bit-identically** to the unbroken
@@ -436,4 +438,78 @@ fn store_fallback_survives_a_corrupted_generation() {
     recovered.run_to_completion().unwrap();
     assert_eq!(recovered.result(), simulate(&ofa(), 200, 13).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A capped dynamic session of `kind` under Poisson arrivals, paused
+/// mid-run so the frame holds merged classes with many arrival sub-groups.
+fn capped_checkpoint(kind: &ProtocolKind, rate: f64) -> Checkpoint {
+    let model = ArrivalModel::Poisson { rate, horizon: 400 };
+    let options = RunOptions {
+        max_live_cohorts: 8,
+        ..RunOptions::default()
+    };
+    let mut session = Session::dynamic(kind, &model, 3, &options).unwrap();
+    session.advance(300).unwrap();
+    session.checkpoint().unwrap()
+}
+
+/// Re-seals a frame whose payload was edited: the digest is recomputed,
+/// so the integrity check passes and the edit reaches the decoders.
+fn reseal(words: &[u64]) -> Checkpoint {
+    let mut sealed = words.to_vec();
+    let last = sealed.len() - 1;
+    sealed[last] = mac_prob::wire::digest_words(&sealed[..last]);
+    Checkpoint::from_bytes(&mac_prob::wire::words_to_bytes(&sealed)).unwrap()
+}
+
+#[test]
+fn resealed_mutations_of_capped_frames_never_panic() {
+    // Every payload word of two real capped frames (the oracle at λ = 2,
+    // Log-fails Adaptive at λ = 0.5), replaced in six ways and re-sealed:
+    // the restore must end in a typed error or in a session that runs. A
+    // panic anywhere — decode, or the slots after it — fails.
+    let lfa = ProtocolKind::LogFailsAdaptive {
+        xi_delta: 1.0,
+        xi_beta: 1.0,
+        xi_t: 0.5,
+    };
+    let frames = [
+        capped_checkpoint(&ProtocolKind::KnownKOracle, 2.0),
+        capped_checkpoint(&lfa, 0.5),
+    ];
+    let mutations: [fn(u64) -> u64; 6] = [
+        |w| w ^ 1,
+        |w| w.wrapping_add(1),
+        |w| w.wrapping_sub(1),
+        |_| 0,
+        |_| u64::MAX,
+        |w| w ^ (1 << 63),
+    ];
+    let mut panics = Vec::new();
+    for (frame, checkpoint) in frames.iter().enumerate() {
+        let words = checkpoint.words();
+        for at in 3..words.len() - 1 {
+            for (which, mutate) in mutations.iter().enumerate() {
+                let mut edited = words.to_vec();
+                edited[at] = mutate(words[at]);
+                if edited[at] == words[at] {
+                    continue;
+                }
+                let resealed = reseal(&edited);
+                let outcome = std::panic::catch_unwind(|| match Session::resume(&resealed) {
+                    Ok(mut session) => session.advance(500).map(|_| ()),
+                    Err(SessionError::Wire(_) | SessionError::Integrity(_)) => Ok(()),
+                    Err(other) => panic!("untyped rejection: {other}"),
+                });
+                if outcome.is_err() {
+                    panics.push((frame, at, which));
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} re-sealed mutations panicked (frame, word, mutation): {panics:?}",
+        panics.len()
+    );
 }
